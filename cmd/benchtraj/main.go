@@ -71,6 +71,7 @@ type Entry struct {
 	Commit        string             `json:"commit,omitempty"`
 	Date          string             `json:"date"`
 	GoVersion     string             `json:"go_version"`
+	GoMaxProcs    int                `json:"gomaxprocs,omitempty"`
 	Benchtime     string             `json:"benchtime"`
 	RecomputeTime string             `json:"recompute_benchtime,omitempty"`
 	AllocSpeed    map[string]float64 `json:"alloc_speedup_geomean,omitempty"`
@@ -147,8 +148,11 @@ func run(family, file, benchtime, label, pattern string, smoke bool) error {
 	if family == "serve" {
 		pkg = "./internal/serve/"
 	}
+	// go test's default 10-minute timeout is too short for the full sim
+	// family at 3x: its maxmin layered-n400 replays alone run about a
+	// minute per op on a 2-core box.
 	out, err := exec.Command("go", "test", "-run", "^$", "-bench", pattern,
-		"-benchtime", benchtime, "-benchmem", pkg).CombinedOutput()
+		"-benchtime", benchtime, "-benchmem", "-timeout", "2h", pkg).CombinedOutput()
 	if err != nil {
 		return fmt.Errorf("go test -bench failed: %w\n%s", err, out)
 	}
@@ -184,6 +188,7 @@ func run(family, file, benchtime, label, pattern string, smoke bool) error {
 		Commit:        commit,
 		Date:          time.Now().UTC().Format(time.RFC3339),
 		GoVersion:     runtime.Version(),
+		GoMaxProcs:    runtime.GOMAXPROCS(0), // the benchmark child inherits the environment, hence the same value
 		Benchtime:     benchtime,
 		RecomputeTime: recomputeBenchtime,
 		Benchmarks:    ms,

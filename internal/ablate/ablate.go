@@ -48,8 +48,9 @@ type Knobs struct {
 	// MemoEps is the estimator memo staleness bound (0 = exact keying).
 	MemoEps float64
 	// ScratchThreshold is the flownet scratch-solve cutoff
-	// (0 = flownet.DefaultScratchThreshold). Latency-only: every solve
-	// regime is exact, so replays agree bit-for-bit at any value.
+	// (0 = flownet.DefaultScratchThreshold). Latency-only: the solve
+	// regimes agree up to floating-point association, so replays move by
+	// rounding error only.
 	ScratchThreshold int
 }
 

@@ -168,7 +168,7 @@ const (
 	// availability, but the shipped profile keeps exact memo keying.
 	FastMemoEps = 0.0
 	// FastScratchThreshold quadruples the flownet scratch-solve cutoff
-	// (latency-only: all solve regimes are exact; paper-scale replay p50
+	// (latency-only: the solve regimes agree up to rounding; paper-scale replay p50
 	// dropped ~19% in the sweep, big scales were neutral).
 	FastScratchThreshold = 64
 )

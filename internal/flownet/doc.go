@@ -30,37 +30,60 @@
 // ordered sequence of progressive-filling events (a saturated link fixing
 // its entities at the fair share, or an entity freezing at its rate cap),
 // with nondecreasing rate values, the per-level entity lists (the fix
-// log, with each entity's route and weight inlined so replays stream
-// through it), and (rem, wcnt) state checkpoints every ckStride levels.
-// A population change perturbs only the events that the changed entities
-// and links can influence; everything else keeps its rates — literally:
-// entities fixed by still-valid levels are not touched at all. Solve
-// proceeds in three zones (see mergeReplay):
+// log, with each entity's route and weight inlined so recommits stream
+// through it) and an undo log. Every time a level drains its links, it
+// appends one undo record per distinct link: the link, the level's
+// weight on it, and the link's state just before the drain — remaining
+// capacity and the weight already fixed on it. A population change
+// perturbs only the events that the changed entities and links can
+// influence; everything else keeps its rates — literally: entities fixed
+// by still-valid levels are not touched at all. Solve proceeds in three
+// zones (see mergeReplay):
 //
 //   - An unchecked prefix, cut by binary search below every changed
 //     entity's own fix, every changed link's bottleneck level, and the
 //     first level value reaching the changed links' level-0 fair shares
 //     (shares only grow as filling progresses, so the level-0 share
-//     lower-bounds the pending event). Its state is restored from the
-//     nearest checkpoint plus a pure streamed delta replay — no per-entity
-//     work.
+//     lower-bounds the pending event). The link state at the cut is
+//     rewound, not rebuilt: the weight drift of the changed links is
+//     folded into the live unfixed counts, then the suffix's undo
+//     records are walked backwards, each restoring its link's remaining
+//     capacity and rebasing its unfixed count on the current link weight
+//     (current weight minus the recorded fixed weight). The rewind costs
+//     one record per link drain the walk is about to redo; the prefix
+//     costs nothing.
 //
 //   - A merge walk over the rest of the log: old levels re-commit as long
-//     as they fire before every pending dirty event, as one batched
-//     multiply-subtract per distinct touched link. A level whose
-//     bottleneck link went dirty is dropped and its entities join the
-//     pending set; when a dirty event fires first — a dirty link's fair
-//     share, tracked in a lazy min-heap whose stale keys are valid lower
-//     bounds, or a pending entity's rate cap from the pending-cap heap —
-//     a fresh level is inserted in place and the links it drains become
-//     dirty in turn. Divergence thus cascades exactly as far as it
-//     physically reaches, instead of invalidating the whole tail.
+//     as they fire before every pending dirty event. A level whose every
+//     entry survived drains its links straight from its undo records —
+//     the same single multiply-subtract per distinct link that built it,
+//     so the bits match — and a level that lost entries re-accumulates
+//     the survivors' weights. A level whose bottleneck link went dirty is
+//     dropped and its entities join the pending set; when a dirty event
+//     fires first — a dirty link's fair share, tracked in a lazy min-heap
+//     whose stale keys are valid lower bounds, or a pending entity's rate
+//     cap from the pending-cap heap — a fresh level is inserted in place
+//     and the links it drains become dirty in turn. Divergence thus
+//     cascades exactly as far as it physically reaches, instead of
+//     invalidating the whole tail.
 //
 //   - Plain progressive filling for whatever is still pending once the
 //     old log is exhausted, appending to the rebuilt log.
 //
+// Only caps that can bind enter the pending-cap heap: a cap below the
+// smallest capacity on the entity's route. A larger cap can never win the
+// strict cap-before-share test, because while the entity is unfixed its
+// smallest link's fair share is at most that link's capacity, and that
+// link stays a candidate event for as long as the entity is pending. On
+// every cluster preset the empirical bandwidth cap β' equals the capacity
+// of the route's narrowest link (WMax/RTT stays above it), so no replay
+// cap binds and the heap stays empty; the oracle tests perturb caps to
+// exercise it.
+//
 // Solve falls back to a full solve when no trusted log exists (first
-// solve, or after a defensive freeze of stalled entities).
+// solve, after a small-population scratch solve, or after a defensive
+// freeze of stalled entities) or when at least half the solvable
+// entities changed.
 //
 // # Lazy fluid draining and the deadline index
 //
@@ -70,20 +93,25 @@
 // drained volume at join), and the entity keeps a min-heap of members by
 // that static key. Advancing virtual time adds rate·dt to one per-entity
 // accumulator instead of decrementing every member. Completions are
-// indexed by a lazy deadline heap: an entity's next-completion time stays
-// exact while its rate and head member are unchanged (draining is
-// linear), so only entities touched by a solve or a completion re-enter
-// the heap, and finding work is O(log entities) per event rather than a
-// scan of the whole population. The heap only schedules which entities
-// are examined — the drained-state test against the eagerly accumulated
-// volumes stays authoritative.
+// indexed by a deadline heap keyed by (absolute time, entity id) with one
+// entry per draining entity and a position index, so a change re-keys the
+// entity's entry in place and an entity that stops draining leaves the
+// heap at once. An entity's next-completion time stays exact while its
+// rate and head member are unchanged (draining is linear), so only
+// entities touched by a solve or a completion are re-keyed, and finding
+// work is O(log entities) per event rather than a scan of the whole
+// population. The heap only schedules which entities are examined — the
+// drained-state test against the eagerly accumulated volumes stays
+// authoritative.
 //
 // The solved rates are exactly the max-min fair point of the underlying
 // per-flow population (the aggregation is lossless and the repair exact up
 // to floating-point association); internal/sim keeps its from-scratch
 // MaxMin solver as the reference oracle, and the randomized tests in this
 // package assert agreement within 1e-9 against it across add/remove
-// sequences on the paper's and the production-scale topologies.
+// sequences on the paper's and the production-scale topologies, with
+// SetSelfCheck verifying every rewind against a from-capacity replay of
+// the retained log, bit for bit.
 //
 // A Net is not safe for concurrent use; simulations are single-threaded
 // and the experiment harness parallelizes across independent engines.

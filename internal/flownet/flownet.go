@@ -49,6 +49,15 @@ type entity struct {
 	agg     bool    // registered in byRoute
 	exempt  bool    // no links: rate is cap (or +Inf), never solved
 
+	// capBinds: the cap is below the smallest capacity on the route, so
+	// it can win progressive filling's strict cap-before-share test. A
+	// cap at or above that capacity never can: while the entity is
+	// unfixed its smallest link's fair share is at most the link's
+	// capacity, hence at most the cap, and that link is a candidate
+	// (dirty, in the merge walk) for as long as the entity is pending.
+	// Only binding caps enter the pending-cap heap.
+	capBinds bool
+
 	changed bool // population changed since the last solve
 }
 
@@ -59,10 +68,10 @@ type Net struct {
 	linkWeight []int32 // Σ weight of live entities per link occurrence
 	linkEnts   [][]linkRef
 
-	// Links with live weight, swap-maintained: every per-solve pass over
-	// link state (checkpoint restore, fill's heap build) walks this list
-	// instead of the full link vector, so sparse populations pay for the
-	// links they use, not for the cluster size.
+	// Links with live weight, swap-maintained: the per-solve passes over
+	// link state (the scratch solve's reset, fill's heap build) walk this
+	// list instead of the full link vector, so sparse populations pay for
+	// the links they use, not for the cluster size.
 	liveLinks []int32
 	livePos   []int32 // by link: index in liveLinks, -1 when inactive
 
@@ -82,15 +91,15 @@ type Net struct {
 	rates   []float64 // mirror of entity.rate
 	headFin []float64 // finish volume of the entity's earliest member (+Inf when empty)
 
-	// Completion-deadline index: a lazy min-heap of (absolute deadline,
-	// entity, stamp). A deadline stays exact while the entity's rate and
-	// head member are unchanged (draining is linear), so only entities
-	// touched by a solve or a completion re-enter the heap; stale entries
-	// are recognized by their stamp and dropped lazily. The exact eager
+	// Completion-deadline index: an indexed min-heap of (absolute
+	// deadline, entity) with at most one entry per entity, re-keyed in
+	// place. A deadline stays exact while the entity's rate and head
+	// member are unchanged (draining is linear), so only entities touched
+	// by a solve or a completion are re-keyed. The exact eager
 	// drained-state test stays authoritative — the heap only selects
 	// which entities PopDrained examines.
-	dlHeap  []dlKey
-	dlStamp []uint32 // by entity id: bumped on every deadline-relevant change
+	dlHeap []dlKey
+	dlPos  []int32 // by entity id: index in dlHeap, -1 when absent
 
 	seq   int64
 	dirty bool
@@ -116,30 +125,31 @@ type Net struct {
 	unfixedList    []int32
 	rem            []float64
 	wcnt           []int32
-	share          []float64 // cached rem/wcnt per link, maintained by flushLevel
-	wsum           []int32   // per-link weight accumulator of the level being applied
-	touchedLn      []int32   // links with nonzero wsum, in first-touch order
-	lnHeap         []lnKey   // lazy min-heap of active links by (share, id)
-	lastLinkWeight []int32   // linkWeight as of the last Solve (checkpoint base)
-	bnLevel        []int32   // level index where the link is the bottleneck
-	ckRem          []float64
-	ckWcnt         []int32
+	share          []float64  // cached rem/wcnt per link, maintained by flushLevel
+	wsum           []int32    // per-link weight accumulator of the level being applied
+	touchedLn      []int32    // links with nonzero wsum, in first-touch order
+	lnHeap         []lnKey    // lazy min-heap of active links by (share, id)
+	lastLinkWeight []int32    // linkWeight as of the last Solve (drift base)
+	bnLevel        []int32    // level index where the link is the bottleneck
 	oldLevels      []level    // merge-replay scratch: the old log suffix
 	oldFixes       []fixEntry // merge-replay scratch: its fix entries
-	nCk            int
-	capHeap        []capKey // pending capped entities by (cap, id), lazily pruned
+	oldUndo        []undoRec  // merge-replay scratch: its undo records
+	capHeap        []capKey   // pending binding-capped entities by (cap, id), lazily pruned
 	levels         []level
 	fixes          []fixEntry
+	undo           []undoRec // per level, one record per distinct drained link
 	logOK          bool
 
 	popped []int32
 
-	// nolog suppresses the level/fix/checkpoint bookkeeping for the
-	// duration of one small-population scratch solve (see solve.go).
+	// nolog suppresses the level/fix/undo bookkeeping for the duration
+	// of one small-population scratch solve (see solve.go).
 	nolog bool
 
 	fullSolves, incrSolves, scratchSolves int
-	ckRestores, orphanLevels              int
+	rewinds, orphanLevels                 int
+
+	selfCheck func(error) // see SetSelfCheck
 
 	// smallPop, when positive, overrides DefaultScratchThreshold (see
 	// SetScratchThreshold).
@@ -149,8 +159,10 @@ type Net struct {
 // SetScratchThreshold sets the population size at or below which Solve
 // takes the from-scratch progressive-filling path instead of the
 // incremental merge replay. v ≤ 0 restores DefaultScratchThreshold. All
-// solve regimes compute the same exact max-min rates — the threshold is a
-// latency knob, and moving it can never change a simulated makespan.
+// solve regimes compute the same max-min rates up to floating-point
+// association — a repaired log drains a link in the old log's level
+// grouping, a scratch solve in its own — so moving the threshold can move
+// a rate, and a simulated time, by rounding error.
 func (n *Net) SetScratchThreshold(v int) { n.smallPop = v }
 
 // scratchThreshold returns the active scratch-solve cutoff.
@@ -267,19 +279,15 @@ func (n *Net) Advance(dt float64) {
 	}
 }
 
-// bumpDeadline invalidates an entity's deadline entry after a rate, head
-// or membership change, inserting a fresh one while the entity drains.
+// bumpDeadline re-keys an entity's deadline entry after a rate, head or
+// membership change, removing it while the entity does not drain.
 func (n *Net) bumpDeadline(eid int32, e *entity) {
-	n.dlStamp[eid]++
-	if e.weight == 0 || e.rate <= 0 {
-		return
-	}
 	hf := n.headFin[e.pos]
-	if math.IsInf(hf, 1) {
+	if e.weight == 0 || e.rate <= 0 || math.IsInf(hf, 1) {
+		n.dlRemove(eid)
 		return
 	}
-	d := n.now + (hf-n.drained[e.pos])/e.rate
-	n.dlPush(dlKey{t: d, eid: eid, stamp: n.dlStamp[eid]})
+	n.dlSet(eid, n.now+(hf-n.drained[e.pos])/e.rate)
 }
 
 // NextDeadline returns the absolute time of the earliest flow completion
@@ -287,18 +295,13 @@ func (n *Net) bumpDeadline(eid int32, e *entity) {
 // clamp the result to now — complete them with PopDrained; now must be
 // consistent with the accumulated Advance time.
 func (n *Net) NextDeadline(now float64) float64 {
-	for len(n.dlHeap) > 0 {
-		top := n.dlHeap[0]
-		if n.dlStamp[top.eid] != top.stamp {
-			n.dlPop()
-			continue
-		}
-		if top.t < now {
-			return now
-		}
-		return top.t
+	if len(n.dlHeap) == 0 {
+		return math.Inf(1)
 	}
-	return math.Inf(1)
+	if t := n.dlHeap[0].t; !(t < now) {
+		return t
+	}
+	return now
 }
 
 // PopDrained completes every flow that is drained at virtual time now: its
@@ -310,10 +313,6 @@ func (n *Net) PopDrained(now, eps float64, yield func(id int)) bool {
 	n.popped = n.popped[:0]
 	for len(n.dlHeap) > 0 {
 		top := n.dlHeap[0]
-		if n.dlStamp[top.eid] != top.stamp {
-			n.dlPop()
-			continue
-		}
 		if top.t > now {
 			break
 		}
@@ -324,8 +323,7 @@ func (n *Net) PopDrained(now, eps float64, yield func(id int)) bool {
 		// only a hint and may run an ULP early.
 		rem := n.headFin[pos] - n.drained[pos]
 		if !(rem <= eps || (e.rate > 0 && now+rem/e.rate <= now)) {
-			n.dlPop()
-			n.dlPush(dlKey{t: now + rem/e.rate, eid: eid, stamp: top.stamp})
+			n.dlSet(eid, now+rem/e.rate)
 			continue
 		}
 		popCount := int32(0)
@@ -342,7 +340,7 @@ func (n *Net) PopDrained(now, eps float64, yield func(id int)) bool {
 		}
 		if popCount == 0 {
 			// The head moved without completing (defensive).
-			n.dlPop()
+			n.dlRemove(eid)
 			continue
 		}
 		n.dropMembers(eid, popCount)
@@ -446,7 +444,7 @@ func (n *Net) newEntity(links []int, rateCap float64, agg bool) int32 {
 		n.walkEp = append(n.walkEp, 0)
 		n.genByID = append(n.genByID, 0)
 		n.fixedLevel = append(n.fixedLevel, 0)
-		n.dlStamp = append(n.dlStamp, 0)
+		n.dlPos = append(n.dlPos, -1)
 		eid = int32(len(n.ents) - 1)
 	}
 	e := &n.ents[eid]
@@ -462,6 +460,11 @@ func (n *Net) newEntity(links []int, rateCap float64, agg bool) int32 {
 	n.walkEp[eid] = 0
 	n.fixedLevel[eid] = noLevel
 	e.exempt = len(links) == 0
+	minCap := math.Inf(1)
+	for _, l := range links {
+		minCap = math.Min(minCap, n.caps[l])
+	}
+	e.capBinds = !e.exempt && rateCap > 0 && rateCap < minCap
 	switch {
 	case !e.exempt:
 		e.rate = 0
@@ -519,7 +522,7 @@ func (n *Net) destroyEntity(eid int32) {
 	}
 	e.gen++
 	n.genByID[eid] = e.gen
-	n.dlStamp[eid]++
+	n.dlRemove(eid)
 	n.entFree = append(n.entFree, eid)
 }
 
@@ -625,61 +628,74 @@ func (n *Net) siftUp(e *entity, i int) {
 	}
 }
 
-// dlKey is one deadline-heap entry.
+// dlKey is one deadline-heap entry. Each entity has at most one, so the
+// entity id alone breaks time ties deterministically.
 type dlKey struct {
-	t     float64
-	eid   int32
-	stamp uint32
+	t   float64
+	eid int32
 }
 
-func (n *Net) dlPush(k dlKey) {
-	// Bound the garbage from superseded entries: rebuild once the heap
-	// outgrows the live population by enough to matter.
-	if len(n.dlHeap) > 4*len(n.active)+64 {
-		w := 0
-		for _, e := range n.dlHeap {
-			if n.dlStamp[e.eid] == e.stamp {
-				n.dlHeap[w] = e
-				w++
-			}
-		}
-		n.dlHeap = n.dlHeap[:w]
-		for i := len(n.dlHeap)/2 - 1; i >= 0; i-- {
-			n.dlSiftDown(i)
-		}
-	}
-	n.dlHeap = append(n.dlHeap, k)
-	i := len(n.dlHeap) - 1
-	h := n.dlHeap
-	for i > 0 {
-		p := (i - 1) / 2
-		if !dlLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func (n *Net) dlPop() {
-	last := len(n.dlHeap) - 1
-	n.dlHeap[0] = n.dlHeap[last]
-	n.dlHeap = n.dlHeap[:last]
-	if last > 0 {
-		n.dlSiftDown(0)
-	}
-}
-
-// dlLess orders deadline entries by time with (entity, stamp) tie-breaks
-// for determinism.
 func dlLess(a, b dlKey) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
-	if a.eid != b.eid {
-		return a.eid < b.eid
+	return a.eid < b.eid
+}
+
+// dlSet inserts the entity's deadline entry or re-keys it in place.
+func (n *Net) dlSet(eid int32, t float64) {
+	i := int(n.dlPos[eid])
+	if i < 0 {
+		i = len(n.dlHeap)
+		n.dlHeap = append(n.dlHeap, dlKey{t: t, eid: eid})
+		n.dlPos[eid] = int32(i)
+		n.dlSiftUp(i)
+		return
 	}
-	return a.stamp < b.stamp
+	old := n.dlHeap[i].t
+	n.dlHeap[i].t = t
+	if t < old {
+		n.dlSiftUp(i)
+	} else {
+		n.dlSiftDown(i)
+	}
+}
+
+// dlRemove drops the entity's deadline entry, if it has one.
+func (n *Net) dlRemove(eid int32) {
+	i := int(n.dlPos[eid])
+	if i < 0 {
+		return
+	}
+	n.dlPos[eid] = -1
+	last := len(n.dlHeap) - 1
+	moved := n.dlHeap[last]
+	n.dlHeap = n.dlHeap[:last]
+	if i == last {
+		return
+	}
+	n.dlHeap[i] = moved
+	n.dlPos[moved.eid] = int32(i)
+	n.dlSiftDown(i)
+	n.dlSiftUp(i)
+}
+
+func (n *Net) dlSwap(i, j int) {
+	h := n.dlHeap
+	h[i], h[j] = h[j], h[i]
+	n.dlPos[h[i].eid] = int32(i)
+	n.dlPos[h[j].eid] = int32(j)
+}
+
+func (n *Net) dlSiftUp(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !dlLess(n.dlHeap[i], n.dlHeap[p]) {
+			return
+		}
+		n.dlSwap(i, p)
+		i = p
+	}
 }
 
 func (n *Net) dlSiftDown(i int) {
@@ -695,7 +711,7 @@ func (n *Net) dlSiftDown(i int) {
 		if !dlLess(h[c], h[i]) {
 			return
 		}
-		h[i], h[c] = h[c], h[i]
+		n.dlSwap(i, c)
 		i = c
 	}
 }

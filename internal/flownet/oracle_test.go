@@ -44,12 +44,17 @@ type oracleNet struct {
 	rng   *rand.Rand
 }
 
+// newOracleNet returns a Net with its self-check on: every rewind must
+// reproduce a from-capacity replay of the retained log bit for bit, and
+// the deadline heap must stay ordered and indexed.
 func newOracleNet(t *testing.T, cl *platform.Cluster, seed int64) *oracleNet {
+	net := flownet.New(cl.LinkCapacities())
+	net.SetSelfCheck(func(err error) { t.Helper(); t.Fatal(err) })
 	return &oracleNet{
 		t:    t,
 		cl:   cl,
 		caps: cl.LinkCapacities(),
-		net:  flownet.New(cl.LinkCapacities()),
+		net:  net,
 		rng:  rand.New(rand.NewSource(seed)),
 	}
 }

@@ -15,22 +15,37 @@ type level struct {
 	link     int32
 	nfix     int32
 	fixStart int32 // index of the level's first entry in Net.fixes
+	undo     int32 // index of the level's first record in Net.undo
 	value    float64
 }
 
+// undoRec is one undo-log record: the state of one link just before a
+// level drained it, written by flushLevel once per distinct link of the
+// level. used is the weight already fixed on the link (linkWeight − wcnt
+// at the time), kept instead of wcnt so a rewind can rebase the unfixed
+// count on the current link weight: flows that joined or left the link's
+// still-unfixed entities since the record was written move linkWeight,
+// not the fixed weight. w is the level's weight on the link, so a clean
+// recommit drains the link without re-accumulating the level's entries.
+type undoRec struct {
+	link int32
+	w    int32
+	used int32
+	rem  float64
+}
+
 // fixEntry records one entity frozen by a level, with enough of the
-// entity inlined (route, weight at fix time) that replaying or
-// recommitting the entry streams through the fix log without touching
-// the entity structs. gen detects entity-slot reuse across solves, which
-// invalidates the entry; nlinks == longRoute routes the rare
-// longer-than-inline route through the entity itself.
+// entity inlined (route, weight at fix time) that recommitting the entry
+// streams through the fix log without touching the entity structs. gen
+// detects entity-slot reuse across solves, which invalidates the entry;
+// nlinks == longRoute routes the rare longer-than-inline route through
+// the entity itself.
 type fixEntry struct {
 	ent    int32
 	gen    uint32
 	weight int32
 	nlinks int8
 	links  [maxAggRoute]int32
-	rate   float64
 }
 
 const longRoute = int8(-1)
@@ -44,30 +59,25 @@ func (n *Net) entryLinks(f *fixEntry) []int32 {
 	return n.ents[f.ent].links
 }
 
-// capKey is one pending-cap heap entry: a queued capped entity keyed by
-// (cap, entity id) — the candidate order progressive filling consumes
-// rate-cap events in. Entities refixed by link events before their cap
-// fires are skipped lazily (their fixedEp stamp marks them stale).
+// capKey is one pending-cap heap entry: a queued entity whose cap binds,
+// keyed by (cap, entity id) — the candidate order progressive filling
+// consumes rate-cap events in. Entities refixed by link events before
+// their cap fires are skipped lazily (their fixedEp stamp marks them
+// stale).
 type capKey struct {
 	cap float64
 	eid int32
 }
 
-// ckStride is the checkpoint spacing: the solver snapshots the (rem,
-// wcnt) state every ckStride levels, so a later solve can restore the
-// state at any cut point with one O(links) copy plus at most ckStride
-// levels of delta replay instead of re-applying the whole prefix.
-const ckStride = 32
-
 // DefaultScratchThreshold is the default adaptive cutoff below which Solve
 // re-solves from scratch without any bottleneck-log bookkeeping: for tiny
 // populations (the irregular jump=2 scenario classes keep a handful of
 // concurrent flows) progressive filling is cheaper than the merge replay's
-// fixed costs — checkpoint restore, level/fix logging, snapshot
-// maintenance — and the scratch path additionally touches only the live
-// links instead of copying full capacity vectors. SetScratchThreshold
-// overrides it per network; every solve path computes the same exact
-// max-min rates, so the threshold moves latency only, never a rate.
+// fixed costs — the log rewind and the level, fix and undo logging — and
+// the scratch path additionally touches only the live links instead of
+// copying full capacity vectors. SetScratchThreshold overrides it per
+// network; every solve path computes the same max-min rates up to
+// floating-point association (see SetScratchThreshold).
 const DefaultScratchThreshold = 16
 
 const noLevel = math.MaxInt32
@@ -96,23 +106,28 @@ func (n *Net) Solve() {
 	n.unfixedList = n.unfixedList[:0]
 	n.capHeap = n.capHeap[:0]
 
+	// Fold the weight drift of the changed links into the live unfixed
+	// counts. After a logged solve wcnt = linkWeight − the weight the log
+	// fixed on the link; flows that started or ended since moved
+	// linkWeight only. The rewind below relies on it for links the log
+	// suffix does not touch; the full and scratch paths overwrite wcnt.
+	for _, l := range n.chLinks {
+		if d := n.linkWeight[l] - n.lastLinkWeight[l]; d != 0 {
+			n.wcnt[l] += d
+			n.lastLinkWeight[l] = n.linkWeight[l]
+		}
+	}
+
 	// Small populations re-solve from scratch without any log bookkeeping:
-	// no levels, no fix entries, no checkpoints, and only the live links'
+	// no levels, no fix entries, no undo records, and only the live links'
 	// working state restored. The log is declared untrusted, so the next
 	// above-threshold solve rebuilds it with one full pass.
 	if n.solvable <= n.scratchThreshold() {
 		n.scratchSolves++
-		for _, l := range n.chLinks {
-			// Keep the checkpoint weight base in sync even though the
-			// checkpoints themselves are dropped: the next full solve
-			// snapshots against current weights, and later drift folds
-			// must not double-count the small-era changes.
-			n.lastLinkWeight[l] = n.linkWeight[l]
-		}
-		n.nCk = 0
 		n.logOK = false
 		n.levels = n.levels[:0]
 		n.fixes = n.fixes[:0]
+		n.undo = n.undo[:0]
 		for _, l := range n.liveLinks {
 			n.rem[l] = n.caps[l]
 			n.wcnt[l] = n.linkWeight[l]
@@ -130,35 +145,20 @@ func (n *Net) Solve() {
 		return
 	}
 
-	// Checkpoint weight maintenance: snapshots store wcnt relative to the
-	// link weights of the solve that took them. Changed links fold the
-	// weight drift into every retained snapshot so restores are plain
-	// copies.
-	for _, l := range n.chLinks {
-		if d := n.linkWeight[l] - n.lastLinkWeight[l]; d != 0 {
-			for c := 0; c < n.nCk; c++ {
-				n.ckWcnt[c*nl+int(l)] += d
-			}
-			n.lastLinkWeight[l] = n.linkWeight[l]
-		}
-	}
-
 	// A burst that changes most of the population (a large redistribution
 	// fan-out arriving at once) makes log repair pure overhead: nearly
 	// every level would be skipped or reinserted. Solve from scratch and
 	// let progressive filling rebuild the log in one pass.
-	full := !n.logOK || n.nCk == 0 || 2*len(n.chEnts) >= n.solvable
+	full := !n.logOK || 2*len(n.chEnts) >= n.solvable
 	n.logOK = true // the walk or the fill may drop it again
 	if full {
-		// Full solve: no trusted log. Start from the raw capacities and
-		// seed checkpoint 0 with the initial state.
+		// Full solve: no trusted log. Start from the raw capacities.
 		n.fullSolves++
 		n.levels = n.levels[:0]
 		n.fixes = n.fixes[:0]
+		n.undo = n.undo[:0]
 		copy(n.rem, n.caps)
 		copy(n.wcnt, n.linkWeight)
-		n.nCk = 1
-		n.snapshotCk(0)
 		for _, eid := range n.active {
 			if e := &n.ents[eid]; !e.exempt {
 				n.queuePending(eid, e)
@@ -200,6 +200,9 @@ func (n *Net) finishSolve() {
 	}
 	n.chEnts = n.chEnts[:0]
 	n.pendingCut = noLevel
+	if n.selfCheck != nil {
+		n.checkDeadlines()
+	}
 }
 
 // FullSolves, IncrementalSolves and ScratchSolves report how often Solve
@@ -209,22 +212,23 @@ func (n *Net) FullSolves() int        { return n.fullSolves }
 func (n *Net) IncrementalSolves() int { return n.incrSolves }
 func (n *Net) ScratchSolves() int     { return n.scratchSolves }
 
-// CheckpointRestores counts merge-replay solves that rewound the level log
-// to a stride checkpoint; OrphanedLevels counts old levels dropped because
-// their recorded bottleneck share went stale during the merge walk.
-func (n *Net) CheckpointRestores() int { return n.ckRestores }
-func (n *Net) OrphanedLevels() int     { return n.orphanLevels }
+// LogRewinds counts merge-replay solves, each of which rewinds the link
+// state to its cut level through the undo log; OrphanedLevels counts old
+// levels dropped because their recorded bottleneck share went stale
+// during the merge walk.
+func (n *Net) LogRewinds() int     { return n.rewinds }
+func (n *Net) OrphanedLevels() int { return n.orphanLevels }
 
 // queuePending moves a live non-exempt entity into the pending set: it
 // must be (re)fixed this solve, by a merge-walk event or by the fill.
-// Capped entities also enter the pending-cap heap.
+// Entities whose cap binds also enter the pending-cap heap.
 func (n *Net) queuePending(eid int32, e *entity) {
 	if n.solveEp[eid] == n.epoch {
 		return
 	}
 	n.solveEp[eid] = n.epoch
 	n.unfixedList = append(n.unfixedList, eid)
-	if e.cap > 0 {
+	if e.capBinds {
 		n.capHeap = append(n.capHeap, capKey{cap: e.cap, eid: eid})
 		n.capSiftUp(len(n.capHeap) - 1)
 	}
@@ -294,15 +298,19 @@ func (n *Net) capSiftDown(i int) {
 //  1. Unchecked (below cutLow): provably untouched by any change — below
 //     every changed entity's own fix (pendingCut), below every changed
 //     link's bottleneck level, and valued strictly below the level-0
-//     fair share of every changed link and the cap of every changed
-//     capped entity (shares only grow as filling progresses, so the
-//     level-0 share is a lower bound on the pending event). Restored
-//     from the nearest checkpoint plus pure delta replay.
+//     fair share of every changed link and the binding cap of every
+//     changed entity (shares only grow as filling progresses, so the
+//     level-0 share is a lower bound on the pending event). Its state is
+//     rewound through the undo log: walking the suffix's records
+//     backwards leaves every link it drained at its state before the
+//     first suffix level that touched it; every other link already holds
+//     its cut state, give or take the folded weight drift.
 //
 //  2. Merge walk: the old suffix is moved aside and replayed level by
 //     level. While an old level fires before every pending dirty event,
-//     it is either recommitted — batched link deltas, entities keep
-//     their rates — or, when its bottleneck link went dirty (its
+//     it is either recommitted — the recorded per-link drain when every
+//     entry survives, batched link deltas otherwise; entities keep their
+//     rates — or, when its bottleneck link went dirty (its
 //     recorded share is stale), skipped: its entities join the pending
 //     set and their links the dirty set. When a dirty event fires first,
 //     a new level is inserted in place — the dirty link's fair share
@@ -316,11 +324,10 @@ func (n *Net) capSiftDown(i int) {
 //  3. Whatever remains pending after the old log is exhausted is left to
 //     progressive filling, which appends to the rebuilt log.
 func (n *Net) mergeReplay() {
-	nl := len(n.caps)
 	capPending := math.Inf(1)
 	for _, eid := range n.chEnts {
 		e := &n.ents[eid]
-		if e.weight == 0 || e.exempt || e.cap <= 0 {
+		if e.weight == 0 || !e.capBinds {
 			continue
 		}
 		if e.cap < capPending {
@@ -352,42 +359,32 @@ func (n *Net) mergeReplay() {
 		cutLow = cutHard
 	}
 
-	// Restore the nearest checkpoint at or below cutLow and replay the
-	// remaining unchecked levels as pure (rem, wcnt) deltas. Checkpoints
-	// above cutLow reflect the old population's trajectory and are
-	// dropped; the walk re-snapshots as the rebuilt log passes the
-	// stride boundaries.
-	ck := cutLow / ckStride
-	if ck >= n.nCk {
-		ck = n.nCk - 1
-	}
-	n.ckRestores++
-	ckR, ckW := n.ckRem[ck*nl:(ck+1)*nl], n.ckWcnt[ck*nl:(ck+1)*nl]
-	for _, l := range n.liveLinks {
-		n.rem[l], n.wcnt[l] = ckR[l], ckW[l]
-	}
-	for _, l := range n.chLinks {
-		n.rem[l], n.wcnt[l] = ckR[l], ckW[l]
-	}
-	for li := ck * ckStride; li < cutLow; li++ {
-		n.replayLevel(li)
-	}
-	if c := cutLow/ckStride + 1; c < n.nCk {
-		n.nCk = c
-	}
-
-	// Move the old suffix aside; the walk rebuilds the log in place.
-	cutFix := len(n.fixes)
+	// Rewind to the cut and move the old suffix aside; the walk rebuilds
+	// the log in place.
+	n.rewinds++
+	cutFix, cutUndo := len(n.fixes), len(n.undo)
 	if cutLow < len(n.levels) {
 		cutFix = int(n.levels[cutLow].fixStart)
+		cutUndo = int(n.levels[cutLow].undo)
+	}
+	for i := len(n.undo) - 1; i >= cutUndo; i-- {
+		r := &n.undo[i]
+		n.rem[r.link] = r.rem
+		n.wcnt[r.link] = n.linkWeight[r.link] - r.used
+	}
+	if n.selfCheck != nil {
+		n.checkRewind(cutLow)
 	}
 	n.oldLevels = append(n.oldLevels[:0], n.levels[cutLow:]...)
 	n.oldFixes = append(n.oldFixes[:0], n.fixes[cutFix:]...)
+	n.oldUndo = append(n.oldUndo[:0], n.undo[cutUndo:]...)
 	for i := range n.oldLevels {
 		n.oldLevels[i].fixStart -= int32(cutFix)
+		n.oldLevels[i].undo -= int32(cutUndo)
 	}
 	n.levels = n.levels[:cutLow]
 	n.fixes = n.fixes[:cutFix]
+	n.undo = n.undo[:cutUndo]
 	cutLow32 := int32(cutLow)
 
 	// Dirty-link heap over the changed links with live weight.
@@ -402,10 +399,6 @@ func (n *Net) mergeReplay() {
 	}
 
 	for oi := 0; oi < len(n.oldLevels); {
-		if i := len(n.levels); i%ckStride == 0 && i/ckStride >= n.nCk {
-			n.snapshotCk(i / ckStride)
-			n.nCk = i/ckStride + 1
-		}
 		// Earliest pending link event of the dirty population.
 		dShare := math.Inf(1)
 		dLink := int32(-1)
@@ -441,24 +434,28 @@ func (n *Net) mergeReplay() {
 			if lv.link >= 0 && n.linkChanged[lv.link] {
 				n.skipOldLevel(lv)
 			} else {
-				n.commitOldLevel(lv)
+				undoEnd := len(n.oldUndo)
+				if oi+1 < len(n.oldLevels) {
+					undoEnd = int(n.oldLevels[oi+1].undo)
+				}
+				n.commitOldLevel(lv, n.oldUndo[lv.undo:undoEnd])
 			}
 			oi++
 			continue
 		}
 		// A dirty event fires first: insert it as a new level.
 		if capEnt >= 0 && capVal < dShare {
-			fixStart := int32(len(n.fixes))
+			fixStart, undoStart := n.logMark()
 			n.fixMeta(capEnt, capVal)
 			n.dirtyFlush(capVal)
-			n.levels = append(n.levels, level{link: -1, nfix: 1, fixStart: fixStart, value: capVal})
+			n.levels = append(n.levels, level{link: -1, nfix: 1, fixStart: fixStart, undo: undoStart, value: capVal})
 			continue
 		}
 		share := dShare
 		if share < 0 {
 			share = 0
 		}
-		fixStart := int32(len(n.fixes))
+		fixStart, undoStart := n.logMark()
 		nfix := int32(0)
 		for _, ref := range n.linkEnts[dLink] {
 			// Eligible: not yet handled this walk and not fixed in the
@@ -485,8 +482,14 @@ func (n *Net) mergeReplay() {
 		}
 		n.dirtyFlush(share)
 		n.bnLevel[dLink] = int32(len(n.levels))
-		n.levels = append(n.levels, level{link: dLink, nfix: nfix, fixStart: fixStart, value: share})
+		n.levels = append(n.levels, level{link: dLink, nfix: nfix, fixStart: fixStart, undo: undoStart, value: share})
 	}
+}
+
+// logMark returns where the next level's fix entries and undo records
+// start.
+func (n *Net) logMark() (fixStart, undoStart int32) {
+	return int32(len(n.fixes)), int32(len(n.undo))
 }
 
 // skipOldLevel drops a level whose recorded bottleneck share went stale:
@@ -514,46 +517,71 @@ func (n *Net) skipOldLevel(lv *level) {
 	}
 }
 
-// commitOldLevel re-appends a level whose bottleneck is still clean.
-// Entries that diverged (completed flows, slot reuse, pending or already
-// refixed entities — all of which also dirtied their links) are dropped;
-// the survivors keep their rates, and only their link consumption is
-// flushed. Clean links receive exactly the delta of the old trajectory,
-// so their fair-share evolution stays bit-identical.
-func (n *Net) commitOldLevel(lv *level) {
-	end := int(lv.fixStart) + int(lv.nfix)
-	fixStart := int32(len(n.fixes))
-	nfix := int32(0)
+// commitOldLevel re-appends a level whose bottleneck is still clean;
+// recs are its undo records from the old log. Entries that diverged
+// (completed flows, slot reuse, pending or already refixed entities — all
+// of which also dirtied their links) are dropped; the survivors keep
+// their rates, and only their link consumption is flushed. Clean links
+// receive exactly the delta of the old trajectory, so their fair-share
+// evolution stays bit-identical. When every entry survives, the level's
+// per-link weights are the ones its records hold, and the level drains
+// its links straight from them: the same single multiply-subtract per
+// distinct link that flushLevel performs, hence the same bits.
+func (n *Net) commitOldLevel(lv *level, recs []undoRec) {
+	start, end := int(lv.fixStart), int(lv.fixStart)+int(lv.nfix)
+	intact := lv.nfix > 0
+	for fi := start; intact && fi < end; fi++ {
+		intact = n.survives(&n.oldFixes[fi])
+	}
+	fixStart, undoStart := n.logMark()
 	idx := int32(len(n.levels))
-	for fi := int(lv.fixStart); fi < end; fi++ {
-		f := &n.oldFixes[fi]
-		// Divergent entries drop out: dead or reused slots (gen), entities
-		// refixed by an inserted event (fixedEp), and pending entities
-		// (solveEp — changed or orphaned; all of these also dirtied their
-		// links, so clean links still see the old trajectory's delta).
-		if n.genByID[f.ent] != f.gen ||
-			n.fixedEp[f.ent] == n.epoch || n.solveEp[f.ent] == n.epoch {
-			continue
+	nfix := int32(0)
+	if intact {
+		for _, f := range n.oldFixes[start:end] {
+			n.walkEp[f.ent] = n.epoch
+			n.fixedLevel[f.ent] = idx
 		}
-		n.walkEp[f.ent] = n.epoch
-		n.fixedLevel[f.ent] = idx
-		n.fixes = append(n.fixes, *f)
-		for _, l := range n.entryLinks(f) {
-			if n.wsum[l] == 0 {
-				n.touchedLn = append(n.touchedLn, l)
+		n.fixes = append(n.fixes, n.oldFixes[start:end]...)
+		nfix = lv.nfix
+		for _, r := range recs {
+			n.drain(r.link, r.w, lv.value, false)
+		}
+	} else {
+		for fi := start; fi < end; fi++ {
+			f := &n.oldFixes[fi]
+			if !n.survives(f) {
+				continue
 			}
-			n.wsum[l] += f.weight
+			n.walkEp[f.ent] = n.epoch
+			n.fixedLevel[f.ent] = idx
+			n.fixes = append(n.fixes, *f)
+			for _, l := range n.entryLinks(f) {
+				if n.wsum[l] == 0 {
+					n.touchedLn = append(n.touchedLn, l)
+				}
+				n.wsum[l] += f.weight
+			}
+			nfix++
 		}
-		nfix++
+		if nfix == 0 {
+			return
+		}
+		n.flushLevel(lv.value, false)
 	}
-	if nfix == 0 {
-		return
-	}
-	n.flushLevel(lv.value, false)
 	if lv.link >= 0 {
-		n.bnLevel[lv.link] = int32(len(n.levels))
+		n.bnLevel[lv.link] = idx
 	}
-	n.levels = append(n.levels, level{link: lv.link, nfix: nfix, fixStart: fixStart, value: lv.value})
+	n.levels = append(n.levels, level{link: lv.link, nfix: nfix, fixStart: fixStart, undo: undoStart, value: lv.value})
+}
+
+// survives reports whether an old fix entry still holds. Divergent
+// entries drop out: dead or reused slots (gen), entities refixed by an
+// inserted event (fixedEp), and pending entities (solveEp — changed or
+// orphaned; all of these also dirtied their links, so clean links still
+// see the old trajectory's delta).
+func (n *Net) survives(f *fixEntry) bool {
+	return n.genByID[f.ent] == f.gen &&
+		n.fixedEp[f.ent] != n.epoch && n.solveEp[f.ent] != n.epoch
 }
 
 // dirtyFlush marks every link touched by an inserted level dirty (its
@@ -574,28 +602,6 @@ func (n *Net) dirtyFlush(r float64) {
 	n.flushLevel(r, false)
 }
 
-// replayLevel applies one unchecked level's fixes to rem and wcnt only —
-// rates of its entities are already correct and stay untouched. It
-// accumulates the level's per-link weight exactly like the fill or commit
-// that wrote the level (same entry order, same flush order, same single
-// multiply-subtract per distinct link), so the replay reproduces the
-// solver state bit for bit (entities below the cut are unchanged, hence
-// current weights equal fix-time weights).
-func (n *Net) replayLevel(li int) {
-	lv := n.levels[li]
-	end := int(lv.fixStart) + int(lv.nfix)
-	for fi := int(lv.fixStart); fi < end; fi++ {
-		f := &n.fixes[fi]
-		for _, l := range n.entryLinks(f) {
-			if n.wsum[l] == 0 {
-				n.touchedLn = append(n.touchedLn, l)
-			}
-			n.wsum[l] += f.weight
-		}
-	}
-	n.flushLevel(lv.value, false)
-}
-
 // flushLevel applies one level's accumulated per-link weight at rate r:
 // every distinct link gets a single multiply-subtract and weight-count
 // decrement regardless of how many entities the level fixed (on the
@@ -606,15 +612,24 @@ func (n *Net) flushLevel(r float64, updateShares bool) {
 	for _, l := range n.touchedLn {
 		w := n.wsum[l]
 		n.wsum[l] = 0
-		n.rem[l] -= float64(w) * r
-		if n.rem[l] < 0 {
-			n.rem[l] = 0
-		}
-		if n.wcnt[l] -= w; n.wcnt[l] > 0 && updateShares {
-			n.share[l] = n.rem[l] / float64(n.wcnt[l])
-		}
+		n.drain(l, w, r, updateShares)
 	}
 	n.touchedLn = n.touchedLn[:0]
+}
+
+// drain removes weight w fixed at rate r from link l, first logging the
+// link's prior state as an undo record unless in nolog mode.
+func (n *Net) drain(l, w int32, r float64, updateShares bool) {
+	if !n.nolog {
+		n.undo = append(n.undo, undoRec{link: l, w: w, used: n.linkWeight[l] - n.wcnt[l], rem: n.rem[l]})
+	}
+	n.rem[l] -= float64(w) * r
+	if n.rem[l] < 0 {
+		n.rem[l] = 0
+	}
+	if n.wcnt[l] -= w; n.wcnt[l] > 0 && updateShares {
+		n.share[l] = n.rem[l] / float64(n.wcnt[l])
+	}
 }
 
 // fixMeta freezes one entity of the level being built: rate, epoch stamps
@@ -631,7 +646,7 @@ func (n *Net) fixMeta(eid int32, rate float64) {
 		n.fixedLevel[eid] = noLevel
 	} else {
 		n.fixedLevel[eid] = int32(len(n.levels))
-		f := fixEntry{ent: eid, gen: e.gen, weight: e.weight, rate: rate}
+		f := fixEntry{ent: eid, gen: e.gen, weight: e.weight}
 		if len(e.links) <= maxAggRoute {
 			f.nlinks = int8(copy(f.links[:], e.links))
 		} else {
@@ -646,36 +661,6 @@ func (n *Net) fixMeta(eid int32, rate float64) {
 		n.wsum[l] += e.weight
 	}
 	n.unfixed--
-}
-
-// snapshotCk stores the current (rem, wcnt) as checkpoint c (the state
-// before level c*ckStride).
-func (n *Net) snapshotCk(c int) {
-	nl := len(n.caps)
-	need := (c + 1) * nl
-	if cap(n.ckRem) < need {
-		grown := make([]float64, need, 2*need)
-		copy(grown, n.ckRem)
-		n.ckRem = grown
-		grownW := make([]int32, need, 2*need)
-		copy(grownW, n.ckWcnt)
-		n.ckWcnt = grownW
-	}
-	n.ckRem = n.ckRem[:need]
-	n.ckWcnt = n.ckWcnt[:need]
-	// Links without live weight hold stale scratch (the sparse restore
-	// never rewrites them); their canonical state is the full capacity:
-	// a link with no live entities has no fixes in the log, hence no
-	// prefix consumption (every dead entity's fix entry has been cut or
-	// dropped by the walk before a snapshot can see it).
-	ckR, ckW := n.ckRem[c*nl:need], n.ckWcnt[c*nl:need]
-	copy(ckR, n.caps)
-	for i := range ckW {
-		ckW[i] = 0
-	}
-	for _, l := range n.liveLinks {
-		ckR[l], ckW[l] = n.rem[l], n.wcnt[l]
-	}
 }
 
 // applyFix freezes an entity's rate and removes its consumption from the
@@ -699,8 +684,7 @@ func (n *Net) applyFix(eid int32, rate float64) {
 }
 
 // fill runs weighted progressive filling over the unfixed population,
-// appending the levels it discovers to the log and checkpointing the
-// state every ckStride levels. It mirrors the reference solver in
+// appending the levels it discovers to the log. It mirrors the reference solver in
 // internal/sim: repeatedly take the smallest pending event — the minimum
 // fair share remaining/weight over active links, or the smallest unfixed
 // rate cap when lower — freeze the constrained entities, remove their
@@ -734,10 +718,6 @@ func (n *Net) fill() {
 	wcnt, shares := n.wcnt, n.share
 
 	for n.unfixed > 0 {
-		if i := len(n.levels); !n.nolog && i%ckStride == 0 && i/ckStride >= n.nCk {
-			n.snapshotCk(i / ckStride)
-			n.nCk = i/ckStride + 1
-		}
 		// Candidate 1: smallest fair share among active links.
 		share := math.Inf(1)
 		bottleneck := int32(-1)
@@ -772,17 +752,17 @@ func (n *Net) fill() {
 		}
 		switch {
 		case capEnt >= 0:
-			fixStart := int32(len(n.fixes))
+			fixStart, undoStart := n.logMark()
 			n.fixMeta(capEnt, capVal)
 			n.flushLevel(capVal, true)
 			if !n.nolog {
-				n.levels = append(n.levels, level{link: -1, nfix: 1, fixStart: fixStart, value: capVal})
+				n.levels = append(n.levels, level{link: -1, nfix: 1, fixStart: fixStart, undo: undoStart, value: capVal})
 			}
 		case bottleneck >= 0:
 			if share < 0 {
 				share = 0
 			}
-			fixStart := int32(len(n.fixes))
+			fixStart, undoStart := n.logMark()
 			nfix := int32(0)
 			for _, ref := range n.linkEnts[bottleneck] {
 				if solveEp[ref.ent] == epoch && fixedEp[ref.ent] != epoch {
@@ -793,7 +773,7 @@ func (n *Net) fill() {
 			n.flushLevel(share, true)
 			if !n.nolog {
 				n.bnLevel[bottleneck] = int32(len(n.levels))
-				n.levels = append(n.levels, level{link: bottleneck, nfix: nfix, fixStart: fixStart, value: share})
+				n.levels = append(n.levels, level{link: bottleneck, nfix: nfix, fixStart: fixStart, undo: undoStart, value: share})
 			}
 		default:
 			// Defensive no-progress path (mirrors the reference solver):

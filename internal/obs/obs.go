@@ -59,8 +59,10 @@ type Counters struct {
 
 	// Replay rate solving (internal/flownet via internal/sim): how often
 	// Solve ran each regime — full rebuild, incremental merge-replay,
-	// small-population scratch — plus merge-replay checkpoint restores
-	// and old bottleneck levels orphaned by stale shares.
+	// small-population scratch — plus merge-replay log rewinds and old
+	// bottleneck levels orphaned by stale shares. CkRestores keeps its
+	// name from the stride-checkpoint solver it used to count; it counts
+	// undo-log rewinds now, one per merge replay, the same values.
 	SolvesFull        uint64 `json:"solves_full"`
 	SolvesIncremental uint64 `json:"solves_incremental"`
 	SolvesScratch     uint64 `json:"solves_scratch"`

@@ -151,9 +151,10 @@ func NewWithSolver(linkCaps []float64, solver Solver) *Engine {
 
 // NewWithSolverThreshold is NewWithSolver with an explicit flownet
 // scratch-solve threshold (0 = flownet.DefaultScratchThreshold). The
-// threshold only selects between exact solve regimes, so simulated times
-// are identical at any value; the maxmin reference pool has no scratch
-// path and ignores it.
+// threshold only selects between solve regimes that agree up to
+// floating-point association, so it can move a simulated time by
+// rounding error; the maxmin reference pool has no scratch path and
+// ignores it.
 func NewWithSolverThreshold(linkCaps []float64, solver Solver, scratchThreshold int) *Engine {
 	e := &Engine{}
 	switch solver {
@@ -343,7 +344,7 @@ func (p *netPool) stats(c *obs.Counters) {
 	c.SolvesFull += uint64(p.net.FullSolves())
 	c.SolvesIncremental += uint64(p.net.IncrementalSolves())
 	c.SolvesScratch += uint64(p.net.ScratchSolves())
-	c.CkRestores += uint64(p.net.CheckpointRestores())
+	c.CkRestores += uint64(p.net.LogRewinds())
 	c.OrphanLevels += uint64(p.net.OrphanedLevels())
 }
 func (p *netPool) dirty() bool              { return p.net.Dirty() }

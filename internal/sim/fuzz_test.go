@@ -27,6 +27,7 @@ type fuzzProgram struct {
 	cl    *platform.Cluster
 	seed  int64
 	flows int
+	fail  func(error) // when set, the flownet pool runs its self-check
 }
 
 // run replays the program and returns the completion log in callback
@@ -34,6 +35,9 @@ type fuzzProgram struct {
 func (p fuzzProgram) run(solver Solver) ([]fuzzEvent, float64) {
 	rng := rand.New(rand.NewSource(p.seed))
 	e := NewWithSolver(p.cl.LinkCapacities(), solver)
+	if np, ok := e.pool.(*netPool); ok && p.fail != nil {
+		np.net.SetSelfCheck(p.fail)
+	}
 	var log []fuzzEvent
 	next := 0
 	newFlow := func() (links []int, rateCap, bytes float64, id int) {
@@ -88,7 +92,7 @@ func TestFuzzEnginesAgree(t *testing.T) {
 	const programs = 30
 	for _, cl := range clusters {
 		for s := 0; s < programs; s++ {
-			p := fuzzProgram{cl: cl, seed: int64(100*s + 17), flows: 40 + s%3*60}
+			p := fuzzProgram{cl: cl, seed: int64(100*s + 17), flows: 40 + s%3*60, fail: func(err error) { t.Fatal(err) }}
 			ref, refEnd := p.run(SolverMaxMin)
 			got, gotEnd := p.run(SolverFlowNet)
 			if !timeClose(refEnd, gotEnd) {

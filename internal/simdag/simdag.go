@@ -61,9 +61,10 @@ type Options struct {
 
 	// ScratchThreshold overrides the flownet solver's small-population
 	// scratch-solve cutoff (0 = flownet.DefaultScratchThreshold). Every
-	// solve regime is exact, so this knob moves replay latency only —
-	// simulated makespans are identical at any value. Ignored by the
-	// maxmin reference solver.
+	// solve regime computes the same max-min rates up to floating-point
+	// association, so this knob moves replay latency and, by rounding
+	// error, replayed times (TestReplayGolden pins the bits per
+	// threshold). Ignored by the maxmin reference solver.
 	ScratchThreshold int
 }
 
